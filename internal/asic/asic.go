@@ -185,24 +185,76 @@ type dirCounters struct {
 	// binRem carries fractional packets per bin so statistical conversion
 	// from bytes to packets is unbiased over time.
 	binRem [NumSizeBins]float64
+
+	// charge memoises the last (nbytes, profile) pair's increments. A
+	// port's offer changes only when a flow starts or ends, so most
+	// ticks repeat the previous charge and run only the remainder
+	// recurrence.
+	charge charge
+}
+
+// charge is one (nbytes, profile) pair with its precomputed increments:
+// the byte count and each bin's fractional packets
+// nbytes*frac/representativeSize[i] (zero for an empty bin).
+type charge struct {
+	nbytes  float64
+	profile TrafficProfile
+	bytes   uint64
+	pkts    [NumSizeBins]float64
+}
+
+// matches reports whether the memo was computed for (nbytes, profile).
+// The compare is spelled out element by element: Go's generated array
+// equality is an out-of-line call, which costs more than the charge it
+// saves.
+func (m *charge) matches(nbytes float64, p *TrafficProfile) bool {
+	q := &m.profile
+	return nbytes == m.nbytes &&
+		p[0] == q[0] && p[1] == q[1] && p[2] == q[2] &&
+		p[3] == q[3] && p[4] == q[4] && p[5] == q[5]
+}
+
+// set recomputes the increments for (nbytes, profile).
+func (m *charge) set(nbytes float64, p *TrafficProfile) {
+	m.nbytes = nbytes
+	m.profile = *p
+	m.bytes = uint64(nbytes + 0.5)
+	for i, frac := range p {
+		m.pkts[i] = 0
+		if frac != 0 {
+			m.pkts[i] = nbytes * frac / representativeSize[i]
+		}
+	}
 }
 
 // add charges nbytes spread per profile into the counter block.
-func (c *dirCounters) add(nbytes float64, profile TrafficProfile) {
+//
+// Every bin runs the remainder recurrence, including empty ones: there
+// the increment is zero and the carried remainder is below one packet,
+// so the bin and its remainder come out unchanged, exactly as if the bin
+// were skipped. Whole packets round-trip through int64, which truncates
+// exactly as uint64 does because the carried count is never negative,
+// and converts in one instruction.
+//
+//lint:hotpath runs for every port and direction on every simulator tick
+func (c *dirCounters) add(nbytes float64, profile *TrafficProfile) {
 	if nbytes <= 0 {
 		return
 	}
-	c.bytes += uint64(nbytes + 0.5)
-	for i, frac := range profile {
-		if frac == 0 {
-			continue
-		}
-		pkts := nbytes*frac/representativeSize[i] + c.binRem[i]
-		whole := uint64(pkts)
-		c.binRem[i] = pkts - float64(whole)
-		c.bins[i] += whole
-		c.packets += whole
+	m := &c.charge
+	if !m.matches(nbytes, profile) {
+		m.set(nbytes, profile)
 	}
+	c.bytes += m.bytes
+	var packets uint64
+	for i := range c.binRem {
+		pkts := m.pkts[i] + c.binRem[i]
+		whole := int64(pkts)
+		c.binRem[i] = pkts - float64(whole)
+		c.bins[i] += uint64(whole)
+		packets += uint64(whole)
+	}
+	c.packets += packets
 }
 
 // Port is one front-panel port of the switch.
@@ -210,6 +262,8 @@ type Port struct {
 	id    int
 	name  string
 	speed uint64 // bits per second
+	// lineRate is speed/8: the bytes per second Tick scales by its step.
+	lineRate float64
 
 	rx, tx dirCounters
 
@@ -325,7 +379,7 @@ func New(cfg Config) *Switch {
 		if cfg.PortSpeeds[i] == 0 {
 			panic(fmt.Sprintf("asic: port %d has zero speed", i))
 		}
-		sw.ports[i] = Port{id: i, name: name, speed: cfg.PortSpeeds[i]}
+		sw.ports[i] = Port{id: i, name: name, speed: cfg.PortSpeeds[i], lineRate: float64(cfg.PortSpeeds[i]) / 8}
 	}
 	return sw
 }
@@ -362,7 +416,7 @@ func (s *Switch) OfferRx(id int, nbytes float64, profile TrafficProfile) {
 	if nbytes < 0 {
 		panic("asic: negative rx offer")
 	}
-	s.ports[id].rx.add(nbytes, profile)
+	s.ports[id].rx.add(nbytes, &profile)
 }
 
 // OfferTx records nbytes of traffic destined out of port id during the
@@ -393,6 +447,8 @@ func (s *Switch) OfferTx(id int, nbytes float64, profile TrafficProfile) {
 // admitted to the shared buffer subject to the port's dynamic threshold,
 // and anything beyond that is dropped (counted as congestion discards).
 // It returns the total bytes transmitted this tick.
+//
+//lint:hotpath advances every port once per 5 µs simulator tick
 func (s *Switch) Tick(d simclock.Duration) float64 {
 	if d <= 0 {
 		panic("asic: non-positive tick")
@@ -401,7 +457,12 @@ func (s *Switch) Tick(d simclock.Duration) float64 {
 	var txTotal float64
 	for i := range s.ports {
 		p := &s.ports[i]
-		lineBytes := float64(p.speed) / 8 * seconds
+		if p.queue == 0 && p.lastOffer == 0 {
+			// Nothing queued and nothing offered: the tick would
+			// transmit, admit, drop and mark nothing.
+			continue
+		}
+		lineBytes := p.lineRate * seconds
 		offered := p.lastOffer
 		avail := p.queue + offered
 		transmit := avail
@@ -409,7 +470,7 @@ func (s *Switch) Tick(d simclock.Duration) float64 {
 			transmit = lineBytes
 		}
 		if transmit > 0 {
-			p.tx.add(transmit, p.lastProfil)
+			p.tx.add(transmit, &p.lastProfil)
 			txTotal += transmit
 		}
 		leftover := avail - transmit

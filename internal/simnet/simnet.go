@@ -121,10 +121,9 @@ type Net struct {
 	upTx ecmp.Balancer // ToR's egress balancer (measured in Fig 7a)
 	upRx ecmp.Balancer // fabric's arrival spread (measured in Fig 7b)
 
-	txRate []float64
-	rxRate []float64
-	txProf [][asic.NumSizeBins]float64
-	rxProf [][asic.NumSizeBins]float64
+	// tx and rx hold each port's offered load per direction; addRate is
+	// their only writer.
+	tx, rx []portLoad
 
 	bindings map[*workload.Flow]binding
 
@@ -143,6 +142,40 @@ type TrafficObserver func(now simclock.Time, port int, nbytes float64, profile a
 
 type binding struct {
 	rxPort, txPort int
+}
+
+// portLoad is the sum of the active flows' rates on one port and
+// direction, with the normalized profile the ASIC is charged with. The
+// profile changes only when a flow starts or ends, so it is cached and
+// recomputed on the first tick after addRate marks the port dirty.
+type portLoad struct {
+	rate  float64                   // bytes per second
+	sum   [asic.NumSizeBins]float64 // rate-weighted profile sum
+	norm  asic.TrafficProfile       // sum normalized; stale while dirty
+	dirty bool
+}
+
+// add adds r bytes per second carried with the given profile (negative r
+// removes a flow).
+func (l *portLoad) add(r float64, profile asic.TrafficProfile) {
+	l.rate += r
+	for i, frac := range profile {
+		l.sum[i] += r * frac
+	}
+	// Clamp float drift after removals.
+	if r < 0 && l.rate < 0 {
+		l.rate = 0
+	}
+	l.dirty = true
+}
+
+// profile returns the normalized profile, renormalizing after a change.
+func (l *portLoad) profile() *asic.TrafficProfile {
+	if l.dirty {
+		l.norm = normalizeProfile(l.sum)
+		l.dirty = false
+	}
+	return &l.norm
 }
 
 // New builds a simulation from the config.
@@ -173,10 +206,8 @@ func New(cfg Config) (*Net, error) {
 			ECNThresholdBytes: cfg.ECNThresholdBytes,
 		}),
 		gen:      gen,
-		txRate:   make([]float64, n),
-		rxRate:   make([]float64, n),
-		txProf:   make([][asic.NumSizeBins]float64, n),
-		rxProf:   make([][asic.NumSizeBins]float64, n),
+		tx:       make([]portLoad, n),
+		rx:       make([]portLoad, n),
 		bindings: make(map[*workload.Flow]binding),
 	}
 
@@ -275,21 +306,8 @@ func (n *Net) EndFlow(f *workload.Flow) {
 
 func (n *Net) addRate(b binding, f *workload.Flow, sign float64) {
 	r := sign * f.Rate
-	n.rxRate[b.rxPort] += r
-	n.txRate[b.txPort] += r
-	for i, frac := range f.Profile {
-		n.rxProf[b.rxPort][i] += r * frac
-		n.txProf[b.txPort][i] += r * frac
-	}
-	// Clamp float drift after removals.
-	if sign < 0 {
-		if n.rxRate[b.rxPort] < 0 {
-			n.rxRate[b.rxPort] = 0
-		}
-		if n.txRate[b.txPort] < 0 {
-			n.txRate[b.txPort] = 0
-		}
-	}
+	n.rx[b.rxPort].add(r, f.Profile)
+	n.tx[b.txPort].add(r, f.Profile)
 }
 
 // Run advances the simulation by d, processing scheduled events and
@@ -322,20 +340,20 @@ func (n *Net) SetRxObserver(obs TrafficObserver) { n.rxObserver = obs }
 // advances the data path one tick.
 func (n *Net) applyTick(step simclock.Duration) {
 	sec := step.Seconds()
-	for p := range n.txRate {
-		if r := n.txRate[p]; r > 1e-9 {
-			profile := normalizeProfile(n.txProf[p], r)
+	for p := range n.tx {
+		if tx := &n.tx[p]; tx.rate > 1e-9 {
+			nbytes, profile := tx.rate*sec, tx.profile()
 			if n.txObserver != nil {
-				n.txObserver(n.sched.Now(), p, r*sec, profile)
+				n.txObserver(n.sched.Now(), p, nbytes, *profile)
 			}
-			n.sw.OfferTx(p, r*sec, profile)
+			n.sw.OfferTx(p, nbytes, *profile)
 		}
-		if r := n.rxRate[p]; r > 1e-9 {
-			profile := normalizeProfile(n.rxProf[p], r)
+		if rx := &n.rx[p]; rx.rate > 1e-9 {
+			nbytes, profile := rx.rate*sec, rx.profile()
 			if n.rxObserver != nil {
-				n.rxObserver(n.sched.Now(), p, r*sec, profile)
+				n.rxObserver(n.sched.Now(), p, nbytes, *profile)
 			}
-			n.sw.OfferRx(p, r*sec, profile)
+			n.sw.OfferRx(p, nbytes, *profile)
 		}
 	}
 	n.sw.Tick(step)
@@ -344,7 +362,7 @@ func (n *Net) applyTick(step simclock.Duration) {
 // normalizeProfile converts a rate-weighted profile sum into fractions.
 // Negative drift from float subtraction is clamped to zero and the vector
 // renormalized.
-func normalizeProfile(sum [asic.NumSizeBins]float64, _ float64) asic.TrafficProfile {
+func normalizeProfile(sum [asic.NumSizeBins]float64) asic.TrafficProfile {
 	var total float64
 	var p asic.TrafficProfile
 	for i, v := range sum {

@@ -171,8 +171,8 @@ func TestFlowAccountingBalances(t *testing.T) {
 		t.Errorf("active flows = %d, generator says %d", got, want)
 	}
 	// Rates must be non-negative after all the add/remove churn.
-	for p := range n.txRate {
-		if n.txRate[p] < 0 || n.rxRate[p] < 0 {
+	for p := range n.tx {
+		if n.tx[p].rate < 0 || n.rx[p].rate < 0 {
 			t.Fatalf("negative residual rate on port %d", p)
 		}
 	}
