@@ -230,6 +230,16 @@ func (p *Poller) computeBaseCost() simclock.Duration {
 // Exposed so campaigns can assert their interval is feasible.
 func (p *Poller) BaseCost() simclock.Duration { return p.baseCost }
 
+// MaxPolls bounds the polls that can complete within d of Install, so a
+// caller can size a capture buffer. No poll costs less than BaseCost at
+// the jitter floor (interrupts and faults only add), and the next poll
+// starts at the first interval boundary after the previous one completes.
+func (p *Poller) MaxPolls(d simclock.Duration) int64 {
+	floor := simclock.Duration(float64(p.baseCost) * (1 - p.cfg.JitterFrac))
+	stride := (floor/p.cfg.Interval + 1) * p.cfg.Interval
+	return int64(d/stride) + 1
+}
+
 // Install arms the polling loop on the scheduler, first poll one interval
 // from now.
 func (p *Poller) Install(sched *eventq.Scheduler) {

@@ -175,6 +175,36 @@ func TestSublinearMultiCounterCost(t *testing.T) {
 	}
 }
 
+// TestMaxPollsBoundsCompletedPolls checks the capture-sizing bound: no
+// run completes more polls than MaxPolls, and the bound stays within 2x
+// of what dedicated-core runs complete.
+func TestMaxPollsBoundsCompletedPolls(t *testing.T) {
+	kinds := []asic.CounterKind{asic.KindBytes, asic.KindSizeBins, asic.KindPackets, asic.KindBufferPeak}
+	const d = 20 * simclock.Millisecond
+	for _, n := range []int{1, 4, 12, 37} {
+		var specs []CounterSpec
+		for i := 0; i < n; i++ {
+			specs = append(specs, CounterSpec{Port: i % 3, Dir: asic.TX, Kind: kinds[i%len(kinds)]})
+		}
+		for _, interval := range []simclock.Duration{simclock.Micros(1), simclock.Micros(10), simclock.Micros(25), simclock.Micros(50)} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				p, err := NewPoller(PollerConfig{Interval: interval, Counters: specs, DedicatedCore: true},
+					testSwitch(), rng.New(seed), EmitterFunc(func(wire.Sample) {}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sched := eventq.NewScheduler()
+				p.Install(sched)
+				sched.RunUntil(simclock.Epoch.Add(d))
+				got, bound := p.Samples(), p.MaxPolls(d)
+				if got > uint64(bound) || uint64(bound) > 2*got {
+					t.Errorf("%d counters at %v, seed %d: %d polls, MaxPolls %d", n, interval, seed, got, bound)
+				}
+			}
+		}
+	}
+}
+
 func TestSharedCoreMissesMore(t *testing.T) {
 	run := func(dedicated bool) float64 {
 		sw := testSwitch()
