@@ -35,6 +35,12 @@ fi
 # reproduction.
 go test -race -shuffle=on ./...
 
+# Simulator benchmark smoke: one iteration each of the per-app rack
+# simulator, the bare ASIC tick and the fabric tier (the one caller that
+# blends several offers per port per tick), so the tick-path benchmarks
+# keep building and running. Timings are not gated here.
+go test -run='^$' -bench='SimnetMillisecond|ASICTick|ExtensionFabricTier' -benchtime=1x .
+
 # Track serial-vs-parallel campaign wall-clock across PRs. The artifact
 # records the host CPU count; speedup is only meaningful on multi-core
 # runners.
