@@ -1,14 +1,21 @@
 // Command mbcollectd is the standalone collector service: it accepts TCP
 // connections from switch-side sampling clients (collector.Client),
-// decodes their batch streams, and either archives the raw batches —
-// durably, with crash recovery — or prints periodic ingest statistics.
+// decodes their batch streams, and runs every batch through a one-shard
+// collector — the same collector.Shard pipeline mbfleet runs per shard
+// and the benchmark measures: epoch gate, optional durable archive,
+// ingest accounting and the live-figures tap.
 //
 // Usage:
 //
-//	mbcollectd -listen 127.0.0.1:9900 [-archive DIR [-resume]] [-out samples.mbw]
-//	           [-checkpoint N] [-stats 5s] [-http :9901]
+//	mbcollectd -listen 127.0.0.1:9900 [-archive DIR [-resume] [-checkpoint N]]
+//	           [-stats 5s] [-http :9901] [-servers 16] [-threshold 0.5]
 //	           [-tracing] [-tracerate R] [-tracecap N]
 //	           [-shard I -shards M [-placementseed S]]
+//
+// The epoch gate always runs: batches from superseded agent epochs and
+// time-regressing duplicates within an epoch are dropped and counted. A
+// sender whose clock restarts must raise its epoch (mbagent -epoch does;
+// mbreplay stamps each recorded window with its own).
 //
 // With -shard/-shards the daemon is one shard of a fleet collection
 // plane: the rendezvous placement (internal/shard, seeded by
@@ -18,24 +25,26 @@
 // instead of polluting the shard's accumulators. The active placement
 // is served at /placement on the debug mux.
 //
-// With -archive the daemon runs the durable collection plane: batches
-// flow through the epoch gate into a segmented, fsynced, crash-safe
-// archive (internal/trace), and every -checkpoint batches the volatile
-// state (live figures, ingest counters, gate horizons) is checkpointed
-// atomically next to it. After a crash, -resume recovers the archive
-// (truncating any torn tail), restores the last checkpoint, and replays
-// the un-checkpointed archive tail, so the daemon restarts with exactly
-// the state it would have had — agents that retransmit their spool are
-// deduplicated by the restored gate. A failed archive write or sync is
-// fatal: the daemon exits non-zero rather than silently dropping data.
+// With -archive the collector is durable: admitted batches flow into a
+// segmented, fsynced, crash-safe archive (internal/trace), and every
+// -checkpoint batches the volatile state (live figures, ingest counters,
+// gate horizons) is checkpointed atomically next to it. After a crash,
+// -resume recovers the archive (truncating any torn tail), restores the
+// last checkpoint, and replays the un-checkpointed archive tail, so the
+// daemon restarts with exactly the state it would have had — agents
+// that retransmit their spool are deduplicated by the restored gate. A
+// checkpoint without figures state (written before the figures tap was
+// always on) is ignored and the whole archive replayed. A failed archive
+// write or sync is fatal: the daemon exits non-zero rather than silently
+// dropping data. Without -archive nothing is persisted.
 //
 // With -http the daemon serves its debug surface (see README
 // "Observability"): Prometheus metrics at /metrics, a JSON snapshot at
-// /stats, the legacy ingest snapshot at /stats/ingest, /healthz, and
-// /debug/pprof/. With -figures it additionally runs every ingested
-// byte-counter sample through the streaming analysis accumulators and
-// serves the running Fig 3/4/6/9 statistics at /figures (see README
-// "Streaming analysis").
+// /stats, the legacy ingest snapshot at /stats/ingest, /healthz,
+// /debug/pprof/, and the running Fig 3/4/6/9 statistics of the
+// live-figures tap at /figures (see README "Streaming analysis"). The
+// tap always runs, as on every fleet shard; its state is O(series +
+// closed bursts), not O(samples).
 //
 // With -tracing the daemon records pipeline spans (internal/ptrace) for
 // each ingested batch — server.ingest, epoch.gate verdicts, archive
@@ -56,7 +65,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sync"
 	"syscall"
 	"time"
 
@@ -79,12 +87,9 @@ func run() int {
 	archiveDir := flag.String("archive", "", "durable archive directory (segmented, fsynced, crash-recoverable)")
 	resume := flag.Bool("resume", false, "recover the -archive directory and restore the last checkpoint before serving")
 	checkpointEvery := flag.Int("checkpoint", collector.DefaultCheckpointEvery, "checkpoint the collector state every N admitted batches (-archive mode)")
-	out := flag.String("out", "", "optional flat file to append raw batches to (no crash safety; prefer -archive)")
 	wireFmt := flag.String("wire", "", "wire format for the archive; ingest accepts every format regardless (mbw1, mbw2, mbw3; default mbw2)")
 	statsEvery := flag.Duration("stats", 5*time.Second, "stats log interval")
-	epochGate := flag.Bool("epochgate", false, "drop batches from superseded agent epochs and time-regressing duplicates (implied by -archive)")
 	httpAddr := flag.String("http", "", "debug HTTP address (/metrics, /stats, /healthz, /debug/pprof/)")
-	figures := flag.Bool("figures", false, "serve live streaming figures at /figures (needs -http)")
 	servers := flag.Int("servers", 16, "servers per rack, for the /figures port speed map")
 	threshold := flag.Float64("threshold", analysis.DefaultHotThreshold, "hot threshold for /figures")
 	tracing := flag.Bool("tracing", false, "record pipeline spans and serve /spans and /tracez (needs -http)")
@@ -117,48 +122,56 @@ func run() int {
 		}
 	}
 
+	rack := topo.Default(*servers)
+	figs, err := collector.NewLiveFigures(collector.LiveFiguresConfig{
+		SpeedOf: func(_ uint32, port uint16) uint64 {
+			if rack.IsUplink(int(port)) {
+				return rack.UplinkSpeed
+			}
+			return rack.ServerSpeed
+		},
+		IsUplink:  func(_ uint32, port uint16) bool { return rack.IsUplink(int(port)) },
+		Threshold: *threshold,
+		Tracer:    tracer,
+	})
+	if err != nil {
+		logger.Error("live figures", "err", err)
+		return 1
+	}
 	stats := &collector.IngestStats{}
-	var figs *collector.LiveFigures
-	if *figures {
-		rack := topo.Default(*servers)
-		lf, err := collector.NewLiveFigures(collector.LiveFiguresConfig{
-			SpeedOf: func(_ uint32, port uint16) uint64 {
-				if rack.IsUplink(int(port)) {
-					return rack.UplinkSpeed
-				}
-				return rack.ServerSpeed
-			},
-			IsUplink:  func(_ uint32, port uint16) bool { return rack.IsUplink(int(port)) },
-			Threshold: *threshold,
-			Tracer:    tracer,
-		})
-		if err != nil {
-			logger.Error("live figures", "err", err)
-			return 1
-		}
-		figs = lf
+	srvMetrics := collector.NewServerMetrics(reg)
+	cfg := collector.ShardConfig{
+		Figures:         figs,
+		Stats:           stats,
+		GateMetrics:     srvMetrics,
+		RecoveryMetrics: collector.NewRecoveryMetrics(reg),
+		Metrics:         collector.NewShardMetrics(reg),
+		Tracer:          tracer,
 	}
 
-	// mu serializes legacy flat-file archival and, on shutdown, the file
-	// close — a connection goroutine must never race WriteBatch against
-	// Close.
-	var (
-		mu    sync.Mutex
-		fileW *wire.Writer
-		outF  *os.File
-	)
-	var handler collector.BatchHandler
-	var ingest *collector.DurableIngest
+	// Shard mode: police placement ownership ahead of the pipeline, so a
+	// placement-generation mismatch between agents and collectors shows
+	// up as counted misrouted drops instead of double-counted series.
+	if *numShards > 0 {
+		pl, err := shard.Uniform(*numShards, *placementSeed)
+		if err != nil {
+			logger.Error("building placement", "err", err)
+			return 2
+		}
+		cfg.ID, cfg.Placement = *shardID, &pl
+	} else if *shardID >= 0 {
+		logger.Error("-shard needs -shards")
+		return 2
+	}
+
 	var arch *trace.ArchiveWriter
-	switch {
-	case *archiveDir != "":
-		var err error
-		cfg := trace.ArchiveConfig{Format: format}
+	if *archiveDir != "" {
+		acfg := trace.ArchiveConfig{Format: format}
 		var rec *trace.ArchiveRecovery
 		if *resume {
-			arch, rec, err = trace.ResumeArchive(*archiveDir, cfg)
+			arch, rec, err = trace.ResumeArchive(*archiveDir, acfg)
 		} else {
-			arch, err = trace.CreateArchive(*archiveDir, cfg)
+			arch, err = trace.CreateArchive(*archiveDir, acfg)
 		}
 		if err != nil {
 			logger.Error("opening archive", "dir", *archiveDir, "err", err)
@@ -174,132 +187,61 @@ func run() int {
 			logger.Info("archive recovered", "batches", rec.Batches, "samples", rec.Samples,
 				"sealed_segments", rec.SealedSegments)
 		}
-		ckptPath := filepath.Join(*archiveDir, "checkpoint.json")
-		ingest, err = collector.NewDurableIngest(collector.DurableIngestConfig{
-			Archive:        arch,
-			CheckpointPath: ckptPath,
-			Every:          *checkpointEvery,
-			Figures:        figs,
-			Stats:          stats,
-			GateMetrics:    collector.NewServerMetrics(reg),
-			Metrics:        collector.NewRecoveryMetrics(reg),
-			Tracer:         tracer,
-		})
-		if err != nil {
-			logger.Error("durable ingest", "err", err)
-			return 1
-		}
-		if *resume {
-			rep, err := ingest.Resume(func(fn func(b *wire.Batch) error) error {
-				return trace.IterArchive(*archiveDir, fn)
-			})
-			if err != nil {
-				logger.Error("resuming from checkpoint", "err", err)
-				return 1
-			}
-			logger.Info("resumed", "had_checkpoint", rep.HadCheckpoint,
-				"checkpoint_batches", rep.CheckpointBatches, "replayed", rep.Replayed,
-				"archive_batches", rep.ArchiveBatches)
-			if rep.Shortfall > 0 {
-				logger.Warn("archive shortfall: checkpointed batches missing from disk",
-					"batches", rep.Shortfall)
-			}
-		}
-		handler = ingest.Handle
-	case *out != "":
-		f, err := os.OpenFile(*out, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			logger.Error("opening output file", "err", err)
-			return 1
-		}
-		// Archival transcodes: whatever format a client streamed in, the
-		// archive is written uniformly in the chosen format.
-		fileW, err = wire.NewWriterFormat(f, format)
-		if err != nil {
-			logger.Error("archive writer", "err", err)
-			f.Close()
-			return 1
-		}
-		outF = f
-		archive := func(b *wire.Batch) {
-			mu.Lock()
-			if fileW != nil {
-				if err := fileW.WriteBatch(b); err != nil {
-					logger.Error("archiving batch", "err", err)
-				}
-			}
-			mu.Unlock()
-		}
-		h := stats.Wrap(collector.TraceStage(tracer, ptrace.StageArchiveWrite, archive))
-		if figs != nil {
-			h = figs.Wrap(h)
-		}
-		handler = h
-	default:
-		h := stats.Wrap(nil)
-		if figs != nil {
-			h = figs.Wrap(h)
-		}
-		handler = h
+		cfg.Archive = arch
+		cfg.CheckpointPath = filepath.Join(*archiveDir, "checkpoint.json")
+		cfg.Every = *checkpointEvery
 	}
-	stats.Attach(reg)
-
-	// Shard mode: police placement ownership ahead of the pipeline, so a
-	// placement-generation mismatch between agents and collectors shows
-	// up as counted misrouted drops instead of double-counted series.
-	var placement *shard.Placement
-	if *numShards > 0 {
-		pl, err := shard.Uniform(*numShards, *placementSeed)
-		if err != nil {
-			logger.Error("building placement", "err", err)
-			return 2
-		}
-		filtered, err := collector.NewShardFilter(pl, *shardID, collector.NewShardMetrics(reg), handler)
-		if err != nil {
-			logger.Error("shard filter", "err", err)
-			return 2
-		}
-		handler = filtered
-		placement = &pl
-		logger.Info("sharded", "shard", *shardID, "of", *numShards,
-			"name", pl.Name(*shardID), "placement_version", pl.Version)
-	} else if *shardID >= 0 {
-		logger.Error("-shard needs -shards")
+	sh, err := collector.NewShard(cfg)
+	if err != nil {
+		logger.Error("building collector", "err", err)
 		return 2
 	}
+	if cfg.Placement != nil {
+		logger.Info("sharded", "shard", cfg.ID, "of", *numShards,
+			"name", cfg.Placement.Name(cfg.ID), "placement_version", cfg.Placement.Version)
+	}
+	if *resume {
+		rep, err := sh.Resume(func(fn func(b *wire.Batch) error) error {
+			return trace.IterArchive(*archiveDir, fn)
+		})
+		if err != nil {
+			logger.Error("resuming from checkpoint", "err", err)
+			return 1
+		}
+		logger.Info("resumed", "had_checkpoint", rep.HadCheckpoint,
+			"checkpoint_batches", rep.CheckpointBatches, "replayed", rep.Replayed,
+			"archive_batches", rep.ArchiveBatches)
+		if rep.Shortfall > 0 {
+			logger.Warn("archive shortfall: checkpointed batches missing from disk",
+				"batches", rep.Shortfall)
+		}
+	}
+	// After Resume, so the registry mirror carries over restored counts.
+	stats.Attach(reg)
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		logger.Error("listening", "addr", *listen, "err", err)
 		return 1
 	}
-	srv := collector.ServeConfigured(ln, handler, collector.ServerConfig{
-		Metrics: collector.NewServerMetrics(reg),
-		// In -archive mode the gate lives inside DurableIngest, ahead of
-		// the archive write.
-		EpochGate: *epochGate && ingest == nil,
-		Tracer:    tracer,
-	})
-	logger.Info("listening", "addr", srv.Addr().String(), "durable", ingest != nil)
+	srv := collector.ServeConfigured(ln, sh.Handle, collector.ServerConfig{Metrics: srvMetrics, Tracer: tracer})
+	logger.Info("listening", "addr", srv.Addr().String(), "durable", arch != nil)
 
 	if *httpAddr != "" {
 		mux := obs.NewDebugMux(reg, nil)
 		mux.Handle("/stats/ingest", stats)
-		if figs != nil {
-			mux.Handle("/figures", figs)
-		}
+		mux.Handle("/figures", figs)
 		if tracer != nil {
 			mux.Handle("/spans", tracer.SpansHandler())
 			mux.Handle("/tracez", tracer.TracezHandler())
 		}
-		if placement != nil {
-			self := *shardID
+		if cfg.Placement != nil {
 			mux.HandleFunc("/placement", func(w http.ResponseWriter, _ *http.Request) {
 				w.Header().Set("Content-Type", "application/json")
 				json.NewEncoder(w).Encode(struct {
 					Shard     int              `json:"shard"`
 					Placement *shard.Placement `json:"placement"`
-				}{self, placement})
+				}{cfg.ID, cfg.Placement})
 			})
 		}
 		ds, err := obs.StartDebug(*httpAddr, mux)
@@ -324,12 +266,10 @@ func run() int {
 			if err := srv.LastErr(); err != nil {
 				logger.Warn("stream error", "err", err)
 			}
-			if ingest != nil {
-				if err := ingest.Err(); err != nil {
-					logger.Error("archive dead, exiting", "err", err)
-					srv.Close()
-					return 1
-				}
+			if err := sh.Err(); err != nil {
+				logger.Error("archive dead, exiting", "err", err)
+				srv.Close()
+				return 1
 			}
 		case s := <-sig:
 			logger.Info("draining", "signal", s.String())
@@ -338,27 +278,9 @@ func run() int {
 				logger.Error("closing listener", "err", err)
 				code = 1
 			}
-			if ingest != nil {
-				if c := finalizeDurable(logger, ingest, arch); c != 0 {
+			if arch != nil {
+				if c := finalizeDurable(logger, sh, arch); c != 0 {
 					code = c
-				}
-			}
-			if outF != nil {
-				// Serialize with any in-flight WriteBatch and surface the
-				// final sync error as a non-zero exit — a silently truncated
-				// archive is worse than a noisy one.
-				mu.Lock()
-				syncErr := outF.Sync()
-				closeErr := outF.Close()
-				fileW = nil
-				mu.Unlock()
-				if syncErr != nil {
-					logger.Error("syncing output file", "err", syncErr)
-					code = 1
-				}
-				if closeErr != nil {
-					logger.Error("closing output file", "err", closeErr)
-					code = 1
 				}
 			}
 			snap := stats.Snapshot()
@@ -371,9 +293,9 @@ func run() int {
 // finalizeDurable writes the shutdown checkpoint and seals the archive,
 // returning a non-zero exit code if durability could not be guaranteed.
 // Separated from run so the failure paths are testable.
-func finalizeDurable(logger *slog.Logger, ingest *collector.DurableIngest, arch *trace.ArchiveWriter) int {
+func finalizeDurable(logger *slog.Logger, sh *collector.Shard, arch *trace.ArchiveWriter) int {
 	code := 0
-	if err := ingest.Checkpoint(); err != nil {
+	if err := sh.Checkpoint(); err != nil {
 		logger.Error("final checkpoint", "err", err)
 		code = 1
 	}

@@ -34,9 +34,31 @@ func testBatch(i int) *wire.Batch {
 	}}
 }
 
-// newTestIngest builds the same durable pipeline run() assembles, over
-// an archive whose files fail Sync when *failSync is set.
-func newTestIngest(t *testing.T, dir string, failSync *bool) (*collector.DurableIngest, *trace.ArchiveWriter) {
+// newTestShard builds a durable one-shard collector like the one run()
+// assembles.
+func newTestShard(t *testing.T, dir string, arch *trace.ArchiveWriter) *collector.Shard {
+	t.Helper()
+	figs, err := collector.NewLiveFigures(collector.LiveFiguresConfig{
+		SpeedOf: func(uint32, uint16) uint64 { return 10_000_000_000 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := collector.NewShard(collector.ShardConfig{
+		Figures:        figs,
+		Stats:          &collector.IngestStats{},
+		Archive:        arch,
+		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sh
+}
+
+// newSyncFailShard builds newTestShard over an archive whose files fail
+// Sync when *failSync is set.
+func newSyncFailShard(t *testing.T, dir string, failSync *bool) (*collector.Shard, *trace.ArchiveWriter) {
 	t.Helper()
 	arch, err := trace.CreateArchive(dir, trace.ArchiveConfig{
 		SyncEvery: 1000, // keep syncs out of WriteBatch; shutdown triggers them
@@ -51,21 +73,14 @@ func newTestIngest(t *testing.T, dir string, failSync *bool) (*collector.Durable
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingest, err := collector.NewDurableIngest(collector.DurableIngestConfig{
-		Archive:        arch,
-		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ingest, arch
+	return newTestShard(t, dir, arch), arch
 }
 
 func TestFinalizeDurableCleanShutdown(t *testing.T) {
 	noFail := false
-	ingest, arch := newTestIngest(t, filepath.Join(t.TempDir(), "a"), &noFail)
-	ingest.Handle(testBatch(0))
-	if code := finalizeDurable(obs.DaemonLogger("test"), ingest, arch); code != 0 {
+	sh, arch := newSyncFailShard(t, filepath.Join(t.TempDir(), "a"), &noFail)
+	sh.Handle(testBatch(0))
+	if code := finalizeDurable(obs.DaemonLogger("test"), sh, arch); code != 0 {
 		t.Fatalf("clean shutdown exited %d, want 0", code)
 	}
 }
@@ -75,10 +90,10 @@ func TestFinalizeDurableCleanShutdown(t *testing.T) {
 // one failure mode a durability daemon may never hide.
 func TestFinalizeDurableSyncErrorExitsNonZero(t *testing.T) {
 	fail := false
-	ingest, arch := newTestIngest(t, filepath.Join(t.TempDir(), "a"), &fail)
-	ingest.Handle(testBatch(0))
+	sh, arch := newSyncFailShard(t, filepath.Join(t.TempDir(), "a"), &fail)
+	sh.Handle(testBatch(0))
 	fail = true
-	if code := finalizeDurable(obs.DaemonLogger("test"), ingest, arch); code == 0 {
+	if code := finalizeDurable(obs.DaemonLogger("test"), sh, arch); code == 0 {
 		t.Fatal("failed final sync exited 0")
 	}
 }
@@ -102,16 +117,10 @@ func TestFinalizeDurableOpenerFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingest, err := collector.NewDurableIngest(collector.DurableIngestConfig{
-		Archive:        arch,
-		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingest.Handle(testBatch(0))
-	ingest.Handle(testBatch(1)) // rotation: the opener fails here
-	if ingest.Err() == nil && finalizeDurable(obs.DaemonLogger("test"), ingest, arch) == 0 {
+	sh := newTestShard(t, dir, arch)
+	sh.Handle(testBatch(0))
+	sh.Handle(testBatch(1)) // rotation: the opener fails here
+	if sh.Err() == nil && finalizeDurable(obs.DaemonLogger("test"), sh, arch) == 0 {
 		t.Fatal("opener failure surfaced neither as a sticky error nor a non-zero exit")
 	}
 }

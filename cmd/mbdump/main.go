@@ -1,27 +1,25 @@
-// Command mbdump inspects a raw batch archive — the file mbcollectd
-// -out writes, any concatenation of wire batches, a segmented archive
-// directory written by mbcollectd -archive, or a fleet campaign
-// directory written by mbfleet -out: per-batch summaries, per-counter
-// totals, and optionally the first samples decoded.
+// Command mbdump inspects a segmented archive directory written by
+// mbcollectd -archive, or a fleet campaign directory written by mbfleet
+// -out: per-batch summaries, per-counter totals, and optionally the
+// first samples decoded.
 //
 // Usage:
 //
-//	mbdump -in samples.mbw [-samples 10] [-quiet]
-//	mbdump -in /var/lib/mburst/archive   # segmented archive directory
-//	mbdump -in /var/lib/mburst/fleet     # fleet campaign directory
+//	mbdump -in /var/lib/mburst/archive [-samples 10] [-quiet]
+//	mbdump -in /var/lib/mburst/fleet   # fleet campaign directory
 //
-// A plain directory is decoded through the archive manifest in segment
-// order (the collector's admission order). A fleet directory (one
-// holding a fleet.json manifest) is decoded through every shard
-// archive and presented as one merged admission-order stream — racks
-// ascending, each rack's batches in its owning shard's admission
-// order — so a sharded campaign reads exactly like a single-collector
-// one. Run mbcollectd -resume (or trace.RecoverArchive) first if a
-// directory crashed mid-write; mbdump treats a torn tail as an error.
+// An archive directory is decoded through its manifest in segment order
+// (the collector's admission order). A fleet directory (one holding a
+// fleet.json manifest) is decoded through every shard archive and
+// presented as one merged admission-order stream — racks ascending,
+// each rack's batches in its owning shard's admission order — so a
+// sharded campaign reads exactly like a single-collector one. Any other
+// input is refused. Run mbcollectd -resume (or trace.RecoverArchive)
+// first if a directory crashed mid-write; mbdump treats a torn tail as
+// an error.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,7 +32,7 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "", "batch file, archive directory, or fleet campaign directory to inspect (required)")
+	in := flag.String("in", "", "archive directory or fleet campaign directory to inspect (required)")
 	showSamples := flag.Int("samples", 0, "print the first N samples decoded")
 	quiet := flag.Bool("quiet", false, "suppress per-batch lines, print only totals")
 	flag.Parse()
@@ -87,40 +85,28 @@ func run(w io.Writer, in string, showSamples int, quiet bool) error {
 		}
 	}
 
-	if fi, err := os.Stat(in); err == nil && fi.IsDir() {
-		iter := trace.IterArchive
-		if man, ok, err := trace.ReadFleetManifest(in); err != nil {
-			return err
-		} else if ok {
-			iter = trace.IterFleet
-			if !quiet {
-				fmt.Fprintf(w, "fleet: %d racks over %d shards, placement v%d seed %d\n",
-					man.Racks, len(man.Shards), man.Placement.Version, man.Placement.Seed)
-			}
+	fi, err := os.Stat(in)
+	if err != nil {
+		return err
+	}
+	if !fi.IsDir() {
+		return fmt.Errorf("%s is not a directory: -in takes a segmented archive directory (mbcollectd -archive) or a fleet campaign directory (mbfleet -out)", in)
+	}
+	iter := trace.IterArchive
+	if man, ok, err := trace.ReadFleetManifest(in); err != nil {
+		return err
+	} else if ok {
+		iter = trace.IterFleet
+		if !quiet {
+			fmt.Fprintf(w, "fleet: %d racks over %d shards, placement v%d seed %d\n",
+				man.Racks, len(man.Shards), man.Placement.Version, man.Placement.Seed)
 		}
-		if err := iter(in, func(b *wire.Batch) error {
-			dump(b)
-			return nil
-		}); err != nil {
-			return fmt.Errorf("after %d batches: %w", batches, err)
-		}
-	} else {
-		f, err := os.Open(in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r := wire.NewReader(f)
-		for {
-			b, err := r.ReadBatch()
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				return fmt.Errorf("after %d batches: %w", batches, err)
-			}
-			dump(b)
-		}
+	}
+	if err := iter(in, func(b *wire.Batch) error {
+		dump(b)
+		return nil
+	}); err != nil {
+		return fmt.Errorf("after %d batches: %w", batches, err)
 	}
 
 	fmt.Fprintf(w, "\ntotal: %d batches, %d samples", batches, samples)

@@ -156,3 +156,26 @@ func TestFleetDumpPlacementViolation(t *testing.T) {
 		t.Fatalf("misrouted batch not rejected: %v", err)
 	}
 }
+
+// TestDumpRefusesBatchFile: a plain file of wire batches is not an input
+// mbdump reads; the error names the inputs it does accept.
+func TestDumpRefusesBatchFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "samples.mbw")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.NewWriter(f).WriteBatch(&wire.Batch{Rack: 1, Samples: []wire.Sample{
+		{Time: simclock.Epoch, Port: 1, Dir: asic.TX, Kind: asic.KindBytes, Value: 1},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = run(&bytes.Buffer{}, path, 0, true)
+	if err == nil || !strings.Contains(err.Error(), "archive directory") ||
+		!strings.Contains(err.Error(), "fleet campaign directory") {
+		t.Fatalf("batch file: err = %v, want a refusal naming the accepted inputs", err)
+	}
+}

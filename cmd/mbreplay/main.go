@@ -1,11 +1,13 @@
 // Command mbreplay streams a recorded campaign (an mbsim trace directory)
 // into a collector service as live batches — for exercising mbcollectd
-// deployments and dashboards with realistic data.
+// deployments and dashboards with realistic data. Each recorded window
+// restarts virtual time, so its batches carry their own epoch (window
+// index + 1) and pass the collector's epoch gate as a new incarnation.
 //
 // Usage:
 //
 //	mbreplay -trace DIR -collector 127.0.0.1:9900 [-speedup 100] [-unpaced]
-//	         [-maxgap 100ms]
+//	         [-maxgap 100ms] [-wire mbw2|mbw3]
 package main
 
 import (
@@ -28,7 +30,7 @@ func main() {
 	speedup := flag.Float64("speedup", 100, "virtual-to-wall-clock speedup")
 	unpaced := flag.Bool("unpaced", false, "stream as fast as the transport accepts")
 	maxGap := flag.Duration("maxgap", 0, "cap any single pacing sleep (0 = replay gaps verbatim); useful for traces recorded under faults")
-	wireFmt := flag.String("wire", "", "wire format for the outgoing stream (mbw1, mbw2, mbw3; default mbw2)")
+	wireFmt := flag.String("wire", "", "wire format for the outgoing stream (mbw2, mbw3; default mbw2). mbw1 is refused: it cannot carry the per-window epoch the collector's gate needs")
 	flag.Parse()
 
 	if *dir == "" {

@@ -11,7 +11,7 @@ import (
 	"mburst/internal/wire"
 )
 
-// This file is the collector's durability spine. DurableIngest orders
+// This file is the collector's durability spine. durableIngest orders
 // every admitted batch through a write-ahead discipline — epoch gate,
 // durable archive, then the volatile accumulators (ingest stats, live
 // figures) — and periodically persists a checkpoint of the volatile
@@ -24,7 +24,7 @@ import (
 // the checkpoint's high-water mark never exceeds durable data — except
 // when the disk itself lies about fsync (see ResumeReport.Shortfall).
 
-// ArchiveSink is the durable batch log DurableIngest appends to. It is
+// ArchiveSink is the durable batch log a durable Shard appends to. It is
 // satisfied by *trace.ArchiveWriter; an interface because the dependency
 // points the other way (internal/trace imports this package).
 type ArchiveSink interface {
@@ -115,43 +115,18 @@ func LoadCheckpoint(path string) (CheckpointState, bool, error) {
 }
 
 // DefaultCheckpointEvery is the checkpoint cadence in admitted batches
-// when DurableIngestConfig.Every is zero.
+// when ShardConfig.Every is zero.
 const DefaultCheckpointEvery = 256
 
-// DurableIngestConfig assembles a DurableIngest.
-type DurableIngestConfig struct {
-	// Archive is the durable batch log; required.
-	Archive ArchiveSink
-	// CheckpointPath is where checkpoints are saved; empty disables
-	// periodic checkpointing (Resume then replays the whole archive).
-	CheckpointPath string
-	// Every is the checkpoint cadence in admitted batches; <= 0 selects
-	// DefaultCheckpointEvery.
-	Every int
-	// Figures, when non-nil, receives every admitted batch and is
-	// checkpointed/restored alongside the archive mark.
-	Figures *LiveFigures
-	// Stats, when non-nil, accounts every admitted batch and is
-	// checkpointed/restored alongside the archive mark.
-	Stats *IngestStats
-	// GateMetrics feeds the embedded epoch gate's drop counters; may be
-	// nil.
-	GateMetrics *ServerMetrics
-	// Metrics, when non-nil, receives durability telemetry.
-	Metrics *RecoveryMetrics
-	// Tracer, when non-nil, records epoch.gate, archive.write,
-	// collector.checkpoint, and collector.recover spans.
-	Tracer *ptrace.Tracer
-}
-
-// DurableIngest is the crash-safe ingest pipeline: a BatchHandler that
-// gates, archives, accounts, and periodically checkpoints under one
-// lock, so the persisted state is always a consistent cut.
-type DurableIngest struct {
-	cfg    DurableIngestConfig
+// durableIngest is the crash-safe ingest pipeline of a durable Shard: a
+// BatchHandler that gates, archives, accounts, and periodically
+// checkpoints under one lock, so the persisted state is always a
+// consistent cut.
+type durableIngest struct {
+	cfg    ShardConfig
 	gate   *EpochGate
 	m      RecoveryMetrics
-	record BatchHandler // cfg.Stats accounting, nil when absent
+	record BatchHandler // cfg.Stats accounting
 
 	mu        sync.Mutex
 	err       error // sticky fatal: the archive can no longer accept writes
@@ -159,34 +134,35 @@ type DurableIngest struct {
 	sinceCkpt int
 }
 
-// NewDurableIngest validates cfg and builds the pipeline.
-func NewDurableIngest(cfg DurableIngestConfig) (*DurableIngest, error) {
-	if cfg.Archive == nil {
-		return nil, fmt.Errorf("collector: DurableIngest needs an ArchiveSink")
-	}
-	d := &DurableIngest{
-		cfg:   cfg,
-		gate:  NewEpochGate(func(*wire.Batch) {}, cfg.GateMetrics),
-		every: cfg.Every,
+// newDurableIngest builds the pipeline over cfg.Archive, which must be
+// non-nil, as must cfg.Figures and cfg.Stats (NewShard checks both).
+func newDurableIngest(cfg ShardConfig) *durableIngest {
+	d := &durableIngest{
+		cfg:    cfg,
+		gate:   NewEpochGate(func(*wire.Batch) {}, cfg.GateMetrics),
+		every:  cfg.Every,
+		record: cfg.Stats.Wrap(nil),
 	}
 	d.gate.SetTracer(cfg.Tracer)
 	if d.every <= 0 {
 		d.every = DefaultCheckpointEvery
 	}
-	if cfg.Metrics != nil {
-		d.m = *cfg.Metrics
+	if cfg.RecoveryMetrics != nil {
+		d.m = *cfg.RecoveryMetrics
 	}
-	if cfg.Stats != nil {
-		d.record = cfg.Stats.Wrap(nil)
-	}
-	return d, nil
+	return d
 }
 
 // Resume restores the pipeline from the last checkpoint and replays the
 // archive tail written after it. iter must stream the archive's batches
 // in write order (trace.IterArchive wrapped in a closure fits). Call
 // once, before Handle sees traffic.
-func (d *DurableIngest) Resume(iter func(func(*wire.Batch) error) error) (ResumeReport, error) {
+//
+// A checkpoint that lacks the figures or ingest state (one written by a
+// collector that ran without the live-figures tap) cannot restore the
+// accumulators, so it is ignored and the whole archive is replayed, as
+// if no checkpoint existed.
+func (d *durableIngest) Resume(iter func(func(*wire.Batch) error) error) (ResumeReport, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var rep ResumeReport
@@ -195,16 +171,12 @@ func (d *DurableIngest) Resume(iter func(func(*wire.Batch) error) error) (Resume
 		if err != nil {
 			return rep, err
 		}
-		if ok {
+		if ok && st.Figures != nil && st.Ingest != nil {
 			rep.HadCheckpoint = true
 			rep.CheckpointBatches = st.ArchivedBatches
 			d.gate.RestoreState(st.Gate)
-			if d.cfg.Figures != nil && st.Figures != nil {
-				d.cfg.Figures.RestoreState(*st.Figures)
-			}
-			if d.cfg.Stats != nil && st.Ingest != nil {
-				d.cfg.Stats.Restore(*st.Ingest)
-			}
+			d.cfg.Figures.RestoreState(*st.Figures)
+			d.cfg.Stats.Restore(*st.Ingest)
 		}
 	}
 	rep.ArchiveBatches = d.cfg.Archive.Batches()
@@ -227,12 +199,8 @@ func (d *DurableIngest) Resume(iter func(func(*wire.Batch) error) error) (Resume
 			// are already durable.
 			d.gate.admit(b)
 			recordStageSpan(d.cfg.Tracer, ptrace.StageRecover, b)
-			if d.record != nil {
-				d.record(b)
-			}
-			if d.cfg.Figures != nil {
-				d.cfg.Figures.Handle(b)
-			}
+			d.record(b)
+			d.cfg.Figures.Handle(b)
 			rep.Replayed++
 			return nil
 		}); err != nil {
@@ -247,7 +215,8 @@ func (d *DurableIngest) Resume(iter func(func(*wire.Batch) error) error) (Resume
 
 // ResumeReport describes what a Resume found and did.
 type ResumeReport struct {
-	// HadCheckpoint reports whether a checkpoint file was restored.
+	// HadCheckpoint reports whether a checkpoint was restored: false when
+	// none exists or when it lacked the figures or ingest state.
 	HadCheckpoint bool `json:"had_checkpoint"`
 	// CheckpointBatches is the archive high-water mark the checkpoint
 	// recorded.
@@ -267,7 +236,7 @@ type ResumeReport struct {
 // checkpoint saved. An archive write or sync failure is fatal and
 // sticky: later batches are counted as ingest failures and dropped, and
 // Err reports the cause.
-func (d *DurableIngest) Handle(b *wire.Batch) {
+func (d *durableIngest) Handle(b *wire.Batch) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.err != nil {
@@ -285,12 +254,8 @@ func (d *DurableIngest) Handle(b *wire.Batch) {
 		d.m.IngestFailures.Inc()
 		return
 	}
-	if d.record != nil {
-		d.record(b)
-	}
-	if d.cfg.Figures != nil {
-		d.cfg.Figures.Handle(b)
-	}
+	d.record(b)
+	d.cfg.Figures.Handle(b)
 	d.sinceCkpt++
 	d.m.CheckpointLag.Set(float64(d.sinceCkpt))
 	if d.cfg.CheckpointPath != "" && d.sinceCkpt >= d.every {
@@ -304,7 +269,7 @@ func (d *DurableIngest) Handle(b *wire.Batch) {
 
 // Err returns the sticky fatal error, if any. A non-nil Err means the
 // archive stopped accepting batches; the process should exit non-zero.
-func (d *DurableIngest) Err() error {
+func (d *durableIngest) Err() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.err
@@ -313,7 +278,7 @@ func (d *DurableIngest) Err() error {
 // Checkpoint forces a checkpoint now — the clean-shutdown path. It
 // syncs the archive first; a sync failure is fatal (the data is not
 // durable) and is returned.
-func (d *DurableIngest) Checkpoint() error {
+func (d *durableIngest) Checkpoint() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.err != nil {
@@ -331,7 +296,7 @@ func (d *DurableIngest) Checkpoint() error {
 
 // syncLocked forces the archive to stable storage, latching a failure
 // as the sticky fatal error.
-func (d *DurableIngest) syncLocked() error {
+func (d *durableIngest) syncLocked() error {
 	if err := d.cfg.Archive.Sync(); err != nil {
 		d.err = fmt.Errorf("collector: archive sync: %w", err)
 		return d.err
@@ -342,21 +307,17 @@ func (d *DurableIngest) syncLocked() error {
 // checkpointLocked syncs the archive and saves a consistent cut of the
 // volatile state. b, when non-nil, anchors the collector.checkpoint
 // span. Caller holds d.mu.
-func (d *DurableIngest) checkpointLocked(b *wire.Batch) error {
+func (d *durableIngest) checkpointLocked(b *wire.Batch) error {
 	if err := d.syncLocked(); err != nil {
 		return err
 	}
+	fs := d.cfg.Figures.State()
+	is := d.cfg.Stats.Snapshot()
 	st := CheckpointState{
 		ArchivedBatches: d.cfg.Archive.Batches(),
 		Gate:            d.gate.State(),
-	}
-	if d.cfg.Figures != nil {
-		fs := d.cfg.Figures.State()
-		st.Figures = &fs
-	}
-	if d.cfg.Stats != nil {
-		is := d.cfg.Stats.Snapshot()
-		st.Ingest = &is
+		Figures:         &fs,
+		Ingest:          &is,
 	}
 	if err := SaveCheckpoint(d.cfg.CheckpointPath, st); err != nil {
 		return err

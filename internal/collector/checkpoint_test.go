@@ -80,20 +80,17 @@ func newCkptFigures(t *testing.T) *LiveFigures {
 	return f
 }
 
-func newDurable(t *testing.T, arch ArchiveSink, path string, every int) (*DurableIngest, *LiveFigures, *IngestStats) {
+func newDurable(t *testing.T, arch ArchiveSink, path string, every int) (*durableIngest, *LiveFigures, *IngestStats) {
 	t.Helper()
 	figures := newCkptFigures(t)
 	stats := &IngestStats{}
-	d, err := NewDurableIngest(DurableIngestConfig{
+	d := newDurableIngest(ShardConfig{
 		Archive:        arch,
 		CheckpointPath: path,
 		Every:          every,
 		Figures:        figures,
 		Stats:          stats,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return d, figures, stats
 }
 
@@ -192,6 +189,53 @@ func TestDurableIngestResumeDedupsRetransmits(t *testing.T) {
 	}
 	if arch.Batches() != oArch.Batches() {
 		t.Errorf("archive holds %d batches, oracle %d — duplicates were archived", arch.Batches(), oArch.Batches())
+	}
+}
+
+// TestDurableIngestResumeIgnoresFigurelessCheckpoint: a checkpoint
+// written by a collector that ran without the live-figures tap carries
+// no figures state. Restoring its gate and stats and replaying only the
+// tail would leave the figures short of every checkpointed batch, so
+// Resume ignores it and replays the whole archive.
+func TestDurableIngestResumeIgnoresFigurelessCheckpoint(t *testing.T) {
+	const total, killAt = 20, 12
+	oArch := &memArchive{}
+	oracle, oFigures, oStats := newDurable(t, oArch, filepath.Join(t.TempDir(), "ckpt.json"), 4)
+	for i := 0; i < total; i++ {
+		oracle.Handle(ckptBatch(1, 1, i))
+	}
+
+	arch := &memArchive{}
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	d1, _, _ := newDurable(t, arch, path, 4)
+	for i := 0; i < killAt; i++ {
+		d1.Handle(ckptBatch(1, 1, i))
+	}
+	st, ok, err := LoadCheckpoint(path)
+	if err != nil || !ok || st.ArchivedBatches == 0 {
+		t.Fatalf("checkpoint: ok=%v err=%v archived=%d", ok, err, st.ArchivedBatches)
+	}
+	st.Figures = nil
+	if err := SaveCheckpoint(path, st); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, figures, stats := newDurable(t, arch, path, 4)
+	rep, err := d2.Resume(arch.iter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.HadCheckpoint || rep.Replayed != arch.Batches() {
+		t.Fatalf("figureless checkpoint restored: %+v, want a full replay of %d batches", rep, arch.Batches())
+	}
+	for i := killAt; i < total; i++ {
+		d2.Handle(ckptBatch(1, 1, i))
+	}
+	if !reflect.DeepEqual(figures.State(), oFigures.State()) {
+		t.Error("figures state diverges from uninterrupted run")
+	}
+	if !reflect.DeepEqual(stats.Snapshot(), oStats.Snapshot()) {
+		t.Errorf("ingest stats diverge: %+v vs %+v", stats.Snapshot(), oStats.Snapshot())
 	}
 }
 

@@ -25,10 +25,11 @@ import (
 //
 // Epoch increases are accepted unconditionally and reset the rack's time
 // horizon, because a restarted agent legitimately restarts its clock.
+// Every sender whose clock restarts must therefore raise its epoch:
+// replay stamps each recorded window with its own epoch for this reason.
 //
-// The gate is opt-in (ServerConfig.EpochGate): replay-style workloads
-// restart virtual time per window within one epoch, which the
-// time-regression rule would reject.
+// Every Shard runs a gate ahead of its accumulators (and, when durable,
+// ahead of its archive write), so no other collector path needs one.
 type EpochGate struct {
 	next   BatchHandler
 	m      ServerMetrics

@@ -74,7 +74,7 @@ func TestServerEpochGateEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &MemSink{}
-	srv := ServeConfigured(ln, sink.Handle, ServerConfig{EpochGate: true})
+	srv := ServeConfigured(ln, NewEpochGate(sink.Handle, nil).Handle, ServerConfig{})
 	defer srv.Close()
 
 	send := func(batches ...*wire.Batch) {

@@ -141,9 +141,9 @@ func NewServerMetrics(reg *obs.Registry, labels ...obs.Label) *ServerMetrics {
 	}
 }
 
-// RecoveryMetrics instruments the durable ingest pipeline
-// (DurableIngest): checkpoint cadence and failures, crash-replay volume,
-// and batches lost to a dead archive.
+// RecoveryMetrics instruments a durable Shard's ingest pipeline:
+// checkpoint cadence and failures, crash-replay volume, and batches lost
+// to a dead archive.
 type RecoveryMetrics struct {
 	// Checkpoints counts checkpoints persisted.
 	Checkpoints *obs.Counter

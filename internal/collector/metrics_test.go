@@ -123,7 +123,7 @@ func TestClientMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	cm := NewClientMetrics(reg)
 	var buf bytes.Buffer
-	c := NewClient(&buf, 7, 4)
+	c := testClient(&buf, 7, 4)
 	c.SetMetrics(cm)
 	for i := 0; i < 10; i++ {
 		c.Emit(wire.Sample{Time: simclock.Time(i)})
@@ -153,7 +153,7 @@ func TestReconnectingClientMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := Serve(ln, sink.Handle)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 	defer srv.Close()
 
 	c := NewReconnectingClient(func() (io.WriteCloser, error) {

@@ -3,6 +3,7 @@ package collector
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -24,9 +25,19 @@ func mkSample(i int) wire.Sample {
 	}
 }
 
+// testClient builds a client in the default wire format, which always
+// has an encoder, so construction cannot fail.
+func testClient(w io.Writer, rack uint32, maxBatch int) *Client {
+	c, err := NewClientConfigured(w, ClientConfig{Rack: rack, MaxBatch: maxBatch})
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func TestClientBatching(t *testing.T) {
 	var buf bytes.Buffer
-	c := NewClient(&buf, 3, 10)
+	c := testClient(&buf, 3, 10)
 	for i := 0; i < 25; i++ {
 		c.Emit(mkSample(i))
 	}
@@ -74,7 +85,7 @@ func (f *failWriter) Write(p []byte) (int, error) {
 
 func TestClientStickyError(t *testing.T) {
 	fw := &failWriter{fail: true}
-	c := NewClient(fw, 1, 2)
+	c := testClient(fw, 1, 2)
 	c.Emit(mkSample(0))
 	c.Emit(mkSample(1)) // triggers failing flush
 	if err := c.Flush(); err == nil {
@@ -87,7 +98,7 @@ func TestClientStickyError(t *testing.T) {
 }
 
 func TestClientDefaultBatchSize(t *testing.T) {
-	c := NewClient(&bytes.Buffer{}, 0, 0)
+	c := testClient(&bytes.Buffer{}, 0, 0)
 	if c.maxBatch != DefaultBatchSize {
 		t.Errorf("maxBatch = %d", c.maxBatch)
 	}
@@ -99,14 +110,14 @@ func TestEndToEndOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &MemSink{}
-	srv := Serve(ln, sink.Handle)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 	defer srv.Close()
 
 	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(conn, 9, 16)
+	c := testClient(conn, 9, 16)
 	const n = 100
 	for i := 0; i < n; i++ {
 		c.Emit(mkSample(i))
@@ -145,7 +156,7 @@ func TestServerMultipleClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &MemSink{}
-	srv := Serve(ln, sink.Handle)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 	defer srv.Close()
 
 	const clients, per = 4, 50
@@ -157,7 +168,7 @@ func TestServerMultipleClients(t *testing.T) {
 				done <- err
 				return
 			}
-			c := NewClient(conn, uint32(cl), 7)
+			c := testClient(conn, uint32(cl), 7)
 			for i := 0; i < per; i++ {
 				c.Emit(mkSample(i))
 			}
@@ -184,7 +195,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &MemSink{}
-	srv := Serve(ln, sink.Handle)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 	defer srv.Close()
 
 	conn, err := net.Dial("tcp", srv.Addr().String())
@@ -231,7 +242,7 @@ func TestServeConfiguredInjectedClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(conn, 1, 4)
+	c := testClient(conn, 1, 4)
 	for i := 0; i < 4; i++ {
 		c.Emit(mkSample(i))
 	}
@@ -255,7 +266,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := Serve(ln, (&MemSink{}).Handle)
+	srv := ServeConfigured(ln, (&MemSink{}).Handle, ServerConfig{})
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -275,5 +286,5 @@ func TestServeNilHandlerPanics(t *testing.T) {
 			t.Error("nil handler did not panic")
 		}
 	}()
-	Serve(ln, nil)
+	ServeConfigured(ln, nil, ServerConfig{})
 }

@@ -22,7 +22,7 @@ import (
 func runTracedPoll(tb testing.TB, tr *ptrace.Tracer, simDur simclock.Duration) uint64 {
 	tb.Helper()
 	sw := testSwitch()
-	client := NewClient(writeDiscard{}, 3, 0)
+	client := testClient(writeDiscard{}, 3, 0)
 	client.SetTracer(tr)
 	p, err := NewPoller(PollerConfig{
 		Interval:      simclock.Micros(25),

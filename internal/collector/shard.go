@@ -9,14 +9,14 @@ import (
 	"mburst/internal/wire"
 )
 
-// This file is the shard-local half of the fleet collection plane. A
-// Shard wraps the existing single-collector ingest path — epoch gate,
-// optional durable archive (DurableIngest), ingest accounting and the
-// live-figures tap — behind one BatchHandler plus a Publish method that
-// cuts the shard's accumulator state into a ShardUpdate for the
-// Aggregator. The pipeline inside is exactly the one mbcollectd runs
-// standalone; sharding changes who dials it, not what it does, which is
-// why the fleet merge can be byte-exact.
+// This file is the shard-local half of the collection plane and the only
+// way to assemble an ingest pipeline. A Shard wraps the collector ingest
+// path — epoch gate, optional durable archive (durableIngest), ingest
+// accounting and the live-figures tap — behind one BatchHandler plus a
+// Publish method that cuts the shard's accumulator state into a
+// ShardUpdate for the Aggregator. A standalone mbcollectd is a one-shard
+// collector built the same way; sharding changes who dials the pipeline,
+// not what it does, which is why the fleet merge can be byte-exact.
 
 // ShardConfig assembles one shard-local ingest pipeline.
 type ShardConfig struct {
@@ -34,14 +34,17 @@ type ShardConfig struct {
 	// Stats is the shard-local ingest accounting; required.
 	Stats *IngestStats
 	// Archive, when non-nil, makes the shard durable: batches flow
-	// through DurableIngest's write-ahead discipline (gate → archive →
-	// stats → figures → checkpoint) and the shard can crash and Resume.
-	// When nil the shard is volatile: gate → stats → figures.
+	// through a write-ahead discipline (gate → archive → stats → figures
+	// → checkpoint) and the shard can crash and Resume. When nil the
+	// shard is volatile: gate → stats → figures.
 	Archive ArchiveSink
-	// CheckpointPath / Every configure the durable shard's checkpoint
-	// cadence; see DurableIngestConfig. Ignored when Archive is nil.
+	// CheckpointPath is where the durable shard saves its checkpoints;
+	// empty disables periodic checkpointing (Resume then replays the
+	// whole archive). Ignored when Archive is nil.
 	CheckpointPath string
-	Every          int
+	// Every is the checkpoint cadence in admitted batches; <= 0 selects
+	// DefaultCheckpointEvery. Ignored when Archive is nil.
+	Every int
 	// GateMetrics feeds the epoch gate's drop counters; may be nil.
 	GateMetrics *ServerMetrics
 	// RecoveryMetrics receives the durable shard's durability telemetry;
@@ -60,7 +63,7 @@ type Shard struct {
 	cfg     ShardConfig
 	m       ShardMetrics
 	handler BatchHandler
-	ingest  *DurableIngest // nil when volatile
+	ingest  *durableIngest // nil when volatile
 	seq     uint64         // owned by the single publisher goroutine; see Publish
 }
 
@@ -86,21 +89,8 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 		s.m = *cfg.Metrics
 	}
 	if cfg.Archive != nil {
-		ing, err := NewDurableIngest(DurableIngestConfig{
-			Archive:        cfg.Archive,
-			CheckpointPath: cfg.CheckpointPath,
-			Every:          cfg.Every,
-			Figures:        cfg.Figures,
-			Stats:          cfg.Stats,
-			GateMetrics:    cfg.GateMetrics,
-			Metrics:        cfg.RecoveryMetrics,
-			Tracer:         cfg.Tracer,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.ingest = ing
-		s.handler = ing.Handle
+		s.ingest = newDurableIngest(cfg)
+		s.handler = s.ingest.Handle
 	} else {
 		gate := NewEpochGate(cfg.Stats.Wrap(cfg.Figures.Wrap(nil)), cfg.GateMetrics)
 		gate.SetTracer(cfg.Tracer)
@@ -178,7 +168,7 @@ func (s *Shard) CheckpointState() CheckpointState {
 }
 
 // Resume restores a durable shard from its last checkpoint and replays
-// the archive tail; see DurableIngest.Resume. A volatile shard cannot
+// the archive tail; see durableIngest.Resume. A volatile shard cannot
 // resume.
 func (s *Shard) Resume(iter func(func(*wire.Batch) error) error) (ResumeReport, error) {
 	if s.ingest == nil {
@@ -193,31 +183,4 @@ func (s *Shard) Err() error {
 		return nil
 	}
 	return s.ingest.Err()
-}
-
-// NewShardFilter wraps next so batches from racks the placement maps to
-// a different shard are dropped and counted instead of forwarded — the
-// standalone mbcollectd -shard guard, for deployments where agents dial
-// through the same placement and a misrouted batch indicates a
-// placement-generation mismatch.
-func NewShardFilter(pl shard.Placement, self int, m *ShardMetrics, next BatchHandler) (BatchHandler, error) {
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
-	if self < 0 || self >= pl.NumShards() {
-		return nil, fmt.Errorf("collector: shard id %d outside placement of %d shards", self, pl.NumShards())
-	}
-	var sm ShardMetrics
-	if m != nil {
-		sm = *m
-	}
-	return func(b *wire.Batch) {
-		if pl.ShardOf(b.Rack) != self {
-			sm.Misrouted.Inc()
-			return
-		}
-		if next != nil {
-			next(b)
-		}
-	}, nil
 }

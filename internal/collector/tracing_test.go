@@ -41,14 +41,16 @@ func TestClientServerSpansJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeConfigured(ln, sink.Handle, ServerConfig{Tracer: serverTr, EpochGate: true})
+	gate := NewEpochGate(sink.Handle, nil)
+	gate.SetTracer(serverTr)
+	srv := ServeConfigured(ln, gate.Handle, ServerConfig{Tracer: serverTr})
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 32
-	c := NewClient(conn, 7, n)
+	c := testClient(conn, 7, n)
 	c.SetTracer(clientTr)
 	first := simclock.Epoch.Add(simclock.Millisecond)
 	for _, s := range testBatch(7, first, n).Samples {
@@ -143,7 +145,9 @@ func TestSpansEndpointsUnderConcurrentIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeConfigured(ln, sink.Handle, ServerConfig{Tracer: tracer, EpochGate: true})
+	gate := NewEpochGate(sink.Handle, nil)
+	gate.SetTracer(tracer)
+	srv := ServeConfigured(ln, gate.Handle, ServerConfig{Tracer: tracer})
 
 	hs := httptest.NewServer(http.NewServeMux())
 	defer hs.Close()
@@ -162,7 +166,7 @@ func TestSpansEndpointsUnderConcurrentIngest(t *testing.T) {
 				t.Errorf("rack %d: dial: %v", rack, err)
 				return
 			}
-			c := NewClient(conn, rack, samplesPerBatch)
+			c := testClient(conn, rack, samplesPerBatch)
 			c.SetTracer(tracer)
 			for b := 0; b < batchesPerClient; b++ {
 				base := simclock.Epoch.Add(simclock.Duration(b+1) * simclock.Millisecond)
@@ -241,7 +245,7 @@ func TestReconnectBackoffChildSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeWith(ln, sink.Handle, nil)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 
 	var mu sync.Mutex
 	failures := 2

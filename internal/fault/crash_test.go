@@ -53,7 +53,7 @@ func crashBatch(i int) *wire.Batch {
 // crashPipeline is one collector incarnation over a shared archive dir.
 type crashPipeline struct {
 	arch    *trace.ArchiveWriter
-	ingest  *collector.DurableIngest
+	shard   *collector.Shard
 	figures *collector.LiveFigures
 	stats   *collector.IngestStats
 }
@@ -67,7 +67,7 @@ func newCrashPipeline(t *testing.T, arch *trace.ArchiveWriter, ckpt string) *cra
 		t.Fatal(err)
 	}
 	stats := &collector.IngestStats{}
-	ingest, err := collector.NewDurableIngest(collector.DurableIngestConfig{
+	sh, err := collector.NewShard(collector.ShardConfig{
 		Archive:        arch,
 		CheckpointPath: ckpt,
 		Every:          4,
@@ -77,7 +77,7 @@ func newCrashPipeline(t *testing.T, arch *trace.ArchiveWriter, ckpt string) *cra
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &crashPipeline{arch: arch, ingest: ingest, figures: figures, stats: stats}
+	return &crashPipeline{arch: arch, shard: sh, figures: figures, stats: stats}
 }
 
 func decodeCrashArchive(t *testing.T, dir string) []wire.Batch {
@@ -163,9 +163,9 @@ func TestCollectorCrashSoak(t *testing.T) {
 	}
 	oracle := newCrashPipeline(t, oArch, filepath.Join(oDir, "checkpoint.json"))
 	for i := 0; i < crashBatches; i++ {
-		oracle.ingest.Handle(crashBatch(i))
+		oracle.shard.Handle(crashBatch(i))
 	}
-	if err := oracle.ingest.Checkpoint(); err != nil {
+	if err := oracle.shard.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := oArch.Close(); err != nil {
@@ -192,7 +192,7 @@ func TestCollectorCrashSoak(t *testing.T) {
 		next := 0
 		for _, ev := range events {
 			for ; next < ev.idx; next++ {
-				p.ingest.Handle(crashBatch(next))
+				p.shard.Handle(crashBatch(next))
 			}
 			switch ev.kind {
 			case KindCollectorKill:
@@ -202,18 +202,18 @@ func TestCollectorCrashSoak(t *testing.T) {
 			case KindTornWrite:
 				report.TornWrites++
 				chaos.ArmTorn(ev.frac)
-				p.ingest.Handle(crashBatch(next))
+				p.shard.Handle(crashBatch(next))
 				next++
-				if p.ingest.Err() == nil {
+				if p.shard.Err() == nil {
 					t.Fatalf("seed %d (%s): torn write at batch %d did not latch the pipeline",
 						seed, sched, ev.idx)
 				}
 			case KindShortWrite:
 				report.ShortWrites++
 				chaos.ArmShort(ev.frac)
-				p.ingest.Handle(crashBatch(next))
+				p.shard.Handle(crashBatch(next))
 				next++
-				if p.ingest.Err() != nil {
+				if p.shard.Err() != nil {
 					t.Fatalf("seed %d (%s): short write at batch %d surfaced an error — the lie must be silent",
 						seed, sched, ev.idx)
 				}
@@ -222,7 +222,7 @@ func TestCollectorCrashSoak(t *testing.T) {
 					// the crash — the only case that must surface as a
 					// resume Shortfall instead of being healed by replay
 					// plus retransmission.
-					if err := p.ingest.Checkpoint(); err != nil {
+					if err := p.shard.Checkpoint(); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -234,7 +234,7 @@ func TestCollectorCrashSoak(t *testing.T) {
 				t.Fatalf("seed %d (%s): resume archive after %s@%d: %v", seed, sched, ev.kind, ev.idx, err)
 			}
 			p = newCrashPipeline(t, arch2, ckpt)
-			rep, err := p.ingest.Resume(func(fn func(*wire.Batch) error) error {
+			rep, err := p.shard.Resume(func(fn func(*wire.Batch) error) error {
 				return trace.IterArchive(dir, fn)
 			})
 			if err != nil {
@@ -252,9 +252,9 @@ func TestCollectorCrashSoak(t *testing.T) {
 			}
 		}
 		for ; next < crashBatches; next++ {
-			p.ingest.Handle(crashBatch(next))
+			p.shard.Handle(crashBatch(next))
 		}
-		if err := p.ingest.Checkpoint(); err != nil {
+		if err := p.shard.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.arch.Close(); err != nil {

@@ -90,10 +90,8 @@ func TestAgentRestartRecovery(t *testing.T) {
 	}
 	reg := collector.NewServerMetrics(obs.NewRegistry())
 	sink := &collector.MemSink{}
-	srv := collector.ServeConfigured(ln, sink.Handle, collector.ServerConfig{
-		Metrics:   reg,
-		EpochGate: true,
-	})
+	gate := collector.NewEpochGate(sink.Handle, reg)
+	srv := collector.ServeConfigured(ln, gate.Handle, collector.ServerConfig{Metrics: reg})
 	defer srv.Close()
 
 	dial := func() *collector.Client {
@@ -102,7 +100,11 @@ func TestAgentRestartRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { conn.Close() })
-		return collector.NewClient(conn, 1, 64)
+		c, err := collector.NewClientConfigured(conn, collector.ClientConfig{Rack: 1, MaxBatch: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
 
 	// Incarnation 1 delivers most of its stream, crashing before the tail:

@@ -6,6 +6,12 @@
 // Samples keep their original virtual timestamps; pacing maps virtual time
 // onto wall-clock time with a configurable speedup, so a 2-minute campaign
 // can replay in seconds while preserving inter-batch spacing.
+//
+// Every window's simulation restarts virtual time, so each window is
+// replayed as a fresh agent incarnation: its batches carry Epoch = window
+// index + 1. A collector's epoch gate then resets the rack's time horizon
+// at every window instead of dropping the window as reordered. MBW1
+// cannot carry an epoch, so replay refuses that format.
 package replay
 
 import (
@@ -32,7 +38,10 @@ type Options struct {
 	// Sleep is injectable for tests (default time.Sleep).
 	Sleep func(time.Duration)
 	// Windows optionally restricts replay to these window indices
-	// (default: every window present on disk, in order).
+	// (default: every window present on disk, in order). List them in
+	// ascending order: a window's epoch is its index + 1, and a
+	// collector's gate drops a rack's window whose epoch is below one it
+	// has already seen.
 	Windows []int
 	// MaxGap bounds a single pacing sleep (after Speedup). Traces that
 	// survived faults carry long sample gaps — agent outages, stalled
@@ -43,7 +52,8 @@ type Options struct {
 	MaxGap time.Duration
 	// Format selects the wire format batches are re-encoded in (zero =
 	// wire.DefaultFormat). The replay transcodes: the trace's on-disk
-	// format and the outgoing stream format are independent.
+	// format and the outgoing stream format are independent. MBW1 is
+	// rejected: it cannot carry the per-window epoch.
 	Format wire.Format
 }
 
@@ -76,6 +86,9 @@ type Stats struct {
 // cancellation error.
 func Run(ctx context.Context, dir string, w io.Writer, opts Options) (Stats, error) {
 	opts.applyDefaults()
+	if opts.Format == wire.FormatMBW1 {
+		return Stats{}, fmt.Errorf("replay: %s cannot carry the per-window epoch; use mbw2 or mbw3", opts.Format)
+	}
 	if ctx == nil {
 		//lint:ignore ctxroot nil-ctx convenience fallback for library callers; no parent to thread
 		ctx = context.Background()
@@ -114,7 +127,7 @@ func Run(ctx context.Context, dir string, w io.Writer, opts Options) (Stats, err
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := bw.WriteBatch(&wire.Batch{Rack: rack, Samples: pending}); err != nil {
+			if err := bw.WriteBatch(&wire.Batch{Rack: rack, Epoch: uint32(idx) + 1, Samples: pending}); err != nil {
 				return err
 			}
 			st.Batches++

@@ -6,17 +6,26 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"mburst/internal/asic"
 	"mburst/internal/collector"
+	"mburst/internal/obs"
 	"mburst/internal/simclock"
 	"mburst/internal/trace"
 	"mburst/internal/wire"
 )
 
 func writeCampaign(t *testing.T, windows int, samplesPer int) string {
+	t.Helper()
+	return writeRackCampaign(t, windows, windows, samplesPer)
+}
+
+// writeRackCampaign records windows spread round-robin over racks, each
+// window's virtual clock restarting as a simulated window's does.
+func writeRackCampaign(t *testing.T, windows, racks, samplesPer int) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "c")
 	w, err := trace.Create(dir, trace.Meta{
@@ -40,7 +49,7 @@ func writeCampaign(t *testing.T, windows int, samplesPer int) string {
 				Value: uint64(win*samplesPer+i) * 1000,
 			}
 		}
-		if err := w.WriteWindow(win, uint32(win), samples); err != nil {
+		if err := w.WriteWindow(win, uint32(win%racks), samples); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,6 +130,10 @@ func TestReplayFormatTranscodes(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), dir, io.Discard, Options{Unpaced: true, Format: wire.Format(9)}); err == nil {
 		t.Fatal("unknown format accepted")
+	}
+	if _, err := Run(context.Background(), dir, io.Discard, Options{Unpaced: true, Format: wire.FormatMBW1}); err == nil ||
+		!strings.Contains(err.Error(), "mbw1") {
+		t.Fatalf("mbw1 replay: err = %v, want a refusal naming mbw1", err)
 	}
 }
 
@@ -215,7 +228,7 @@ func TestReplayIntoLiveCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &collector.MemSink{}
-	srv := collector.Serve(ln, sink.Handle)
+	srv := collector.ServeConfigured(ln, sink.Handle, collector.ServerConfig{})
 	defer srv.Close()
 
 	conn, err := net.Dial("tcp", srv.Addr().String())
@@ -236,5 +249,82 @@ func TestReplayIntoLiveCollector(t *testing.T) {
 	}
 	if err := srv.LastErr(); err != nil {
 		t.Errorf("stream error: %v", err)
+	}
+}
+
+// TestReplayIntoDurableShard replays a campaign with two windows per rack
+// over loopback into a durable Shard and requires every sample archived.
+// Each window restarts virtual time, so the shard's epoch gate admits a
+// rack's later windows only because replay stamps each window with a new
+// epoch.
+func TestReplayIntoDurableShard(t *testing.T) {
+	dir := writeRackCampaign(t, 4, 2, 3000)
+	archDir := filepath.Join(t.TempDir(), "arch")
+	arch, err := trace.CreateArchive(archDir, trace.ArchiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	figs, err := collector.NewLiveFigures(collector.LiveFiguresConfig{
+		SpeedOf: func(uint32, uint16) uint64 { return 10_000_000_000 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := &collector.IngestStats{}
+	m := collector.NewServerMetrics(obs.NewRegistry())
+	sh, err := collector.NewShard(collector.ShardConfig{
+		Figures:        figs,
+		Stats:          stats,
+		Archive:        arch,
+		CheckpointPath: filepath.Join(archDir, "checkpoint.json"),
+		GateMetrics:    m,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := collector.ServeConfigured(ln, sh.Handle, collector.ServerConfig{Metrics: m})
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Run(context.Background(), dir, conn, Options{Unpaced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	// The connection goroutine exits once it has read the stream to EOF.
+	deadline := time.Now().Add(5 * time.Second)
+	for m.Conns.Value() != 1 || m.ActiveConns.Value() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("collector never drained the replay stream")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := arch.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	archived := 0
+	if err := trace.IterArchive(archDir, func(b *wire.Batch) error {
+		archived += len(b.Samples)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.Snapshot().Samples; archived != st.Samples || got != uint64(st.Samples) {
+		t.Errorf("replayed %d samples, ingested %d, archived %d", st.Samples, got, archived)
+	}
+	if n := m.ReorderedBatches.Value(); n != 0 {
+		t.Errorf("gate dropped %d batches as reordered", n)
 	}
 }

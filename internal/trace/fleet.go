@@ -108,12 +108,6 @@ func ReadFleetManifest(dir string) (FleetManifest, bool, error) {
 	return m, true, nil
 }
 
-// IsFleetDir reports whether dir holds a fleet campaign.
-func IsFleetDir(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, FleetManifestName))
-	return err == nil
-}
-
 // WriteFleetMeta writes a fleet directory's campaign.json. meta must
 // carry the placement; unlike Create, no window writer is returned —
 // the sample data lives in the shard archives.

@@ -2,7 +2,7 @@ package trace_test
 
 // End-to-end durability: a collector pipeline writing a real on-disk
 // archive is killed mid-stream (torn tail included), resurrected via
-// ResumeArchive + DurableIngest.Resume, fed the agent's retransmission
+// ResumeArchive + Shard.Resume, fed the agent's retransmission
 // overlap, and must end byte-identical — decoded archive stream, live
 // figures, ingest counters — to a collector that never died.
 
@@ -39,7 +39,7 @@ func resumeBatch(i int) *wire.Batch {
 
 type resumePipeline struct {
 	arch    *trace.ArchiveWriter
-	ingest  *collector.DurableIngest
+	shard   *collector.Shard
 	figures *collector.LiveFigures
 	stats   *collector.IngestStats
 }
@@ -53,7 +53,7 @@ func newResumePipeline(t *testing.T, arch *trace.ArchiveWriter, ckpt string) *re
 		t.Fatal(err)
 	}
 	stats := &collector.IngestStats{}
-	ingest, err := collector.NewDurableIngest(collector.DurableIngestConfig{
+	sh, err := collector.NewShard(collector.ShardConfig{
 		Archive:        arch,
 		CheckpointPath: ckpt,
 		Every:          4,
@@ -63,7 +63,7 @@ func newResumePipeline(t *testing.T, arch *trace.ArchiveWriter, ckpt string) *re
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &resumePipeline{arch: arch, ingest: ingest, figures: figures, stats: stats}
+	return &resumePipeline{arch: arch, shard: sh, figures: figures, stats: stats}
 }
 
 func decodeArchive(t *testing.T, dir string) []wire.Batch {
@@ -91,9 +91,9 @@ func TestCollectorCrashResumeByteExact(t *testing.T) {
 	}
 	oracle := newResumePipeline(t, oArch, filepath.Join(oDir, "checkpoint.json"))
 	for i := 0; i < total; i++ {
-		oracle.ingest.Handle(resumeBatch(i))
+		oracle.shard.Handle(resumeBatch(i))
 	}
-	if err := oracle.ingest.Checkpoint(); err != nil {
+	if err := oracle.shard.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := oArch.Close(); err != nil {
@@ -110,7 +110,7 @@ func TestCollectorCrashResumeByteExact(t *testing.T) {
 	}
 	p1 := newResumePipeline(t, arch, ckpt)
 	for i := 0; i < killAt; i++ {
-		p1.ingest.Handle(resumeBatch(i))
+		p1.shard.Handle(resumeBatch(i))
 	}
 	// The kill lands mid-write: garbage on the open segment's tail.
 	open, err := os.OpenFile(filepath.Join(dir, "seg_000003.open"), os.O_WRONLY|os.O_APPEND, 0)
@@ -138,7 +138,7 @@ func TestCollectorCrashResumeByteExact(t *testing.T) {
 		t.Fatal("the injected torn tail was not detected")
 	}
 	p2 := newResumePipeline(t, arch2, ckpt)
-	rep, err := p2.ingest.Resume(func(fn func(*wire.Batch) error) error {
+	rep, err := p2.shard.Resume(func(fn func(*wire.Batch) error) error {
 		return trace.IterArchive(dir, fn)
 	})
 	if err != nil {
@@ -159,9 +159,9 @@ func TestCollectorCrashResumeByteExact(t *testing.T) {
 		resendFrom = 0
 	}
 	for i := resendFrom; i < total; i++ {
-		p2.ingest.Handle(resumeBatch(i))
+		p2.shard.Handle(resumeBatch(i))
 	}
-	if err := p2.ingest.Checkpoint(); err != nil {
+	if err := p2.shard.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := arch2.Close(); err != nil {

@@ -16,6 +16,9 @@ fi
 
 go vet ./...
 go build ./...
+# perfbench is its own module, so the root build never compiles it; vet
+# it so a collector API change that breaks the benchmark fails here.
+go -C perfbench vet .
 
 # mblint enforces the determinism/clock/RNG/telemetry invariants plus
 # the interprocedural rules — clockflow taint, hotpath zero-alloc,
